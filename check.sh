@@ -3,8 +3,11 @@
 #
 #   build      the whole module compiles
 #   vet        stdlib static analysis
-#   race test  the full suite under the race detector (the Conv vs
-#              ConvConcurrent bit-identity tests run here)
+#   race test  the full suite under the race detector (the layer
+#              fan-out's bit-identity and contended-pool tests run here)
+#   hostbench  the host-time benchmark module's own tests in -short
+#              mode, which check the sim-cnn logits against the
+#              committed golden hashes (hostbench/golden_simcnn.txt)
 #   lint       albireo-lint: the type-aware module rules
 #              (hotpath-alloc-proof, lock-order,
 #              map-iteration-determinism) plus determinism,
@@ -13,10 +16,11 @@
 #              JSON report lands in lint.out, archived by CI
 #   bench      one-iteration smoke over every benchmark (catches bench
 #              bit-rot; output lands in bench.out, archived by CI)
-#   alloc gate the hot-path benchmarks at a fixed iteration count,
-#              parsed into BENCH_core.json (archived by CI) and checked
-#              against the committed bench_baseline.json: the build
-#              fails if any hot benchmark's allocs/op regresses
+#   alloc gate the hot-path benchmarks at a fixed iteration count, five
+#              runs each, parsed into BENCH_core.json (median ns/op and
+#              its MAD, archived by CI) and checked against the
+#              committed bench_baseline.json: the build fails if any
+#              run of a hot benchmark regresses its allocs/op
 #   serve gate open-loop tail-latency sweep (cmd/albireo-loadgen) in
 #              virtual time, parsed into BENCH_serve.json (archived by
 #              CI) and checked against the committed
@@ -50,6 +54,9 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> hostbench tests (sim-cnn golden hashes)"
+(cd hostbench && go test -short ./...)
+
 echo "==> albireo-lint ./... (JSON report in lint.out)"
 go run ./cmd/albireo-lint -json lint.out ./...
 
@@ -59,8 +66,9 @@ go test -bench=. -benchtime=1x -run='^$' ./... | tee bench.out
 echo "==> hot-path alloc gate (output in BENCH_core.json)"
 # Fixed -benchtime keeps allocs/op deterministic: the one-time weight
 # program compile amortizes over exactly 50 iterations, so the gate
-# compares like against like. ns/op is reported but never gated.
-go test -run '^$' -bench '^BenchmarkFunctional' -benchmem -benchtime 50x . |
+# compares like against like, and every one of the five runs must pass
+# it. ns/op is reported as the median with its MAD but never gated.
+go test -run '^$' -bench '^BenchmarkFunctional' -benchmem -benchtime 50x -count 5 . |
 	go run ./cmd/albireo-bench -json BENCH_core.json -baseline bench_baseline.json
 
 echo "==> serve tail-latency gate (output in BENCH_serve.json)"

@@ -11,9 +11,14 @@
 // while ns/op on shared CI hardware is too noisy to gate and is
 // reported for trending only.
 //
+// Repeated lines of one benchmark (go test -count N) fold into one
+// result: the median ns/op with its median absolute deviation (MAD)
+// as the noise band, and the largest allocs/op and B/op of any run, so
+// every run must pass the gate.
+//
 // Usage:
 //
-//	go test -run '^$' -bench Functional -benchmem -benchtime 50x . |
+//	go test -run '^$' -bench Functional -benchmem -benchtime 50x -count 5 . |
 //	    albireo-bench -json BENCH_core.json -baseline bench_baseline.json
 package main
 
@@ -23,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -36,19 +42,26 @@ func main() {
 	}
 }
 
-// Result is one parsed benchmark line.
+// Result is one benchmark's measurement, folded over its runs.
 type Result struct {
 	// Name is the benchmark name without the -GOMAXPROCS suffix, e.g.
 	// "BenchmarkFunctionalConv" or "BenchmarkFleetInfer/pool2".
 	Name string `json:"name"`
-	// Iterations is the b.N of the measured run.
+	// Runs is the number of result lines folded in (go test -count).
+	Runs int `json:"runs,omitempty"`
+	// Iterations is the b.N of the first measured run.
 	Iterations int64 `json:"iterations"`
-	// NsPerOp is wall time per iteration (reported, never gated).
+	// NsPerOp is the median wall time per iteration over the runs
+	// (reported, never gated).
 	NsPerOp float64 `json:"ns_per_op"`
-	// BytesPerOp is heap bytes per iteration (-benchmem).
+	// NsPerOpMAD is the median absolute deviation of ns/op over the
+	// runs: the noise band of NsPerOp (0 for a single run).
+	NsPerOpMAD float64 `json:"ns_per_op_mad,omitempty"`
+	// BytesPerOp is the largest heap bytes per iteration of any run
+	// (-benchmem).
 	BytesPerOp float64 `json:"bytes_per_op"`
-	// AllocsPerOp is heap allocations per iteration (-benchmem); the
-	// gated quantity.
+	// AllocsPerOp is the largest heap allocations per iteration of any
+	// run (-benchmem); the gated quantity.
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
@@ -88,8 +101,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		}
 	}
 	for _, r := range rep.Benchmarks {
-		fmt.Fprintf(out, "%-44s %12.0f ns/op %10.0f B/op %8.1f allocs/op\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		fmt.Fprintf(out, "%-44s %12.0f ns/op ±%-10.0f %10.0f B/op %8.1f allocs/op  (%d runs)\n",
+			r.Name, r.NsPerOp, r.NsPerOpMAD, r.BytesPerOp, r.AllocsPerOp, r.Runs)
 	}
 	if *baseline != "" {
 		return gate(out, rep, *baseline, *slack)
@@ -97,11 +110,12 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	return nil
 }
 
-// parse extracts benchmark result lines from go test output. Lines it
-// does not recognize (headers, PASS, custom metrics it has no column
-// for) are skipped, so the tool can consume a raw `go test` stream.
+// parse extracts benchmark result lines from go test output and folds
+// repeated lines of one benchmark into a single Result. Lines it does
+// not recognize (headers, PASS, custom metrics it has no column for)
+// are skipped, so the tool can consume a raw `go test` stream.
 func parse(in io.Reader) (*Report, error) {
-	rep := &Report{}
+	runs := map[string][]Result{}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -127,15 +141,47 @@ func parse(in io.Reader) (*Report, error) {
 				r.AllocsPerOp = v
 			}
 		}
-		rep.Benchmarks = append(rep.Benchmarks, r)
+		runs[r.Name] = append(runs[r.Name], r)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	rep := &Report{}
+	for _, rs := range runs {
+		rep.Benchmarks = append(rep.Benchmarks, fold(rs))
 	}
 	sort.Slice(rep.Benchmarks, func(i, j int) bool {
 		return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name
 	})
 	return rep, nil
+}
+
+// fold summarizes the runs of one benchmark: median ns/op and its MAD,
+// worst-case B/op and allocs/op.
+func fold(rs []Result) Result {
+	out := Result{Name: rs[0].Name, Runs: len(rs), Iterations: rs[0].Iterations}
+	ns := make([]float64, len(rs))
+	for i, r := range rs {
+		ns[i] = r.NsPerOp
+		out.BytesPerOp = math.Max(out.BytesPerOp, r.BytesPerOp)
+		out.AllocsPerOp = math.Max(out.AllocsPerOp, r.AllocsPerOp)
+	}
+	out.NsPerOp = median(ns)
+	for i := range ns {
+		ns[i] = math.Abs(ns[i] - out.NsPerOp)
+	}
+	out.NsPerOpMAD = median(ns)
+	return out
+}
+
+// median returns the median of xs, reordering xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // trimProcSuffix drops the trailing -GOMAXPROCS decoration go test

@@ -150,3 +150,48 @@ func TestRunEmptyInput(t *testing.T) {
 		t.Fatal("want error for input with no benchmark lines")
 	}
 }
+
+const repeated = `BenchmarkFunctionalConv-2   	      50	       100 ns/op	    8580 B/op	       2 allocs/op
+BenchmarkFunctionalConv-2   	      50	       120 ns/op	    8580 B/op	       2 allocs/op
+BenchmarkFunctionalConv-2   	      50	        90 ns/op	    8584 B/op	       3 allocs/op
+BenchmarkFunctionalConv-2   	      50	       300 ns/op	    8580 B/op	       2 allocs/op
+BenchmarkFunctionalConv-2   	      50	       110 ns/op	    8580 B/op	       2 allocs/op
+BenchmarkFunctionalPLCUStep-2	      50	      1000 ns/op	      48 B/op	       1 allocs/op
+BenchmarkFunctionalPLCUStep-2	      50	      1100 ns/op	      48 B/op	       1 allocs/op
+`
+
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	t.Parallel()
+	rep, err := parse(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	want := []Result{
+		// ns/op median of {90,100,110,120,300} is 110; the deviations
+		// {20,10,0,10,190} have median 10. The worst run sets B/op and
+		// allocs/op.
+		{Name: "BenchmarkFunctionalConv", Runs: 5, Iterations: 50, NsPerOp: 110, NsPerOpMAD: 10, BytesPerOp: 8584, AllocsPerOp: 3},
+		// An even run count takes the mean of the middle pair.
+		{Name: "BenchmarkFunctionalPLCUStep", Runs: 2, Iterations: 50, NsPerOp: 1050, NsPerOpMAD: 50, BytesPerOp: 48, AllocsPerOp: 1},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("got %d benchmarks, want %d: %+v", len(rep.Benchmarks), len(want), rep.Benchmarks)
+	}
+	for i, w := range want {
+		if rep.Benchmarks[i] != w {
+			t.Errorf("benchmark %d folded as %+v, want %+v", i, rep.Benchmarks[i], w)
+		}
+	}
+}
+
+func TestGateChecksEveryRun(t *testing.T) {
+	t.Parallel()
+	// One run of five allocates 3/op: the baseline of 1 (limit 2.1)
+	// must fail although the median run allocates 2/op.
+	base := writeBaseline(t, 1)
+	var out strings.Builder
+	err := run([]string{"-baseline", base}, strings.NewReader(repeated), &out)
+	if err == nil || !strings.Contains(err.Error(), "allocation regression") {
+		t.Fatalf("gate passed a regression in one run of five (err=%v)", err)
+	}
+}

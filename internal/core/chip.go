@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"albireo/internal/obs"
 	"albireo/internal/quant"
 	"albireo/internal/tensor"
 )
@@ -48,6 +46,9 @@ type Chip struct {
 	posVol, negVol tensor.Volume
 	gemmAcc        []float64
 	bviews         map[*tensor.Matrix]*gemmView
+	// job is the running layer's fan-out descriptor, reused by every
+	// layer (see fanout.go).
+	job layerJob
 }
 
 // NewChip builds a functional chip.
@@ -138,11 +139,12 @@ func (c *Chip) prequantizeInput(a *tensor.Volume) (*tensor.Volume, float64) {
 
 // Conv executes a convolution layer through the analog pipeline
 // (Algorithm 2) and returns the output volume in the caller's value
-// domain. Kernels are distributed round-robin over the PLCGs; output
-// columns are produced Nd at a time; channels are aggregated Nu at a
-// time; kernels larger than Nm take multiple tap chunks per channel
-// group. If relu is true the activation is applied during aggregation
-// write-back, as the hardware does.
+// domain. Kernels are distributed round-robin over the PLCGs, which
+// run concurrently (see fanout.go); output columns are produced Nd at
+// a time; channels are aggregated Nu at a time; kernels larger than Nm
+// take multiple tap chunks per channel group. If relu is true the
+// activation is applied during aggregation write-back, as the hardware
+// does.
 func (c *Chip) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
 	if cfg.Depthwise {
 		return c.depthwiseConv(a, w, cfg, relu)
@@ -153,45 +155,65 @@ func (c *Chip) Conv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, 
 	if w.Z != a.Z {
 		panic(fmt.Sprintf("core: kernel depth %d != input channels %d", w.Z, a.Z)) //lint:ignore exit-hygiene kernel/input shape invariant; caller bug
 	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progConv, w)
-	outScale := aScale * pr.wScale
-
-	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
-	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
-	out := tensor.NewVolume(w.M, by, bx)
-	sp := c.ins.beginLayer("conv", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-	for m := 0; m < w.M; m++ {
-		c.convKernel(qa, pr, sp, out, m, by, bx, stride, cfg.Pad, relu, outScale)
-	}
+	out := newConvOutput(a, w, cfg)
+	c.windowLayer(progConv, a, w, cfg, relu, ShardSpec{}, out)
 	return out
 }
 
-// convKernel streams every output tile of kernel m through its owning
-// PLCG: weights come from the compiled program, activations are
-// gathered into the group's scratch arena, and partial sums
-// accumulate across channel groups and tap chunks. Shared by Conv and
-// ConvConcurrent; in the concurrent path each goroutine owns exactly
-// one PLCG, so the group scratch needs no locking.
+// convStride is the layer's stride; the zero value means 1.
+func convStride(cfg tensor.ConvConfig) int {
+	if cfg.Stride == 0 {
+		return 1
+	}
+	return cfg.Stride
+}
+
+// newConvOutput allocates the output volume of a convolution layer.
+func newConvOutput(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig) *tensor.Volume {
+	stride := convStride(cfg)
+	return tensor.NewVolume(w.M, tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride), tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride))
+}
+
+// windowLayer runs a dense (progConv) or depthwise (progDepthwise)
+// convolution's owned kernels into out, whose shape the caller has
+// checked.
+func (c *Chip) windowLayer(kind programKind, a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool, shard ShardSpec, out *tensor.Volume) {
+	qa, aScale := c.prequantizeInput(a)
+	pr := c.programShard(kind, w, shard)
+	name := "conv"
+	if kind == progDepthwise {
+		name = "depthwise"
+	}
+	sp := c.ins.beginLayer(name, w.M, w.Z, w.Y, w.X)
+	defer sp.End()
+	if outScale := aScale * pr.wScale; outScale != 0 {
+		c.fanOut(layerArgs{window: true, depthwise: kind == progDepthwise, qa: qa, pr: pr, sp: sp, dst: out.Data, kernels: w.M,
+			by: out.Y, bx: out.X, stride: convStride(cfg), pad: cfg.Pad, relu: relu, outScale: outScale, shard: shard})
+	}
+}
+
+// windowKernel streams every output tile of kernel m through its
+// owning PLCG: weights come from the compiled program, activations are
+// gathered into the group's scratch arena, and partial sums accumulate
+// across channel groups and tap chunks. A depthwise kernel reads only
+// its own input channel m.
 //
 //hot: steady-state layer loop; per-tile work must not allocate.
-func (c *Chip) convKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, out *tensor.Volume, m, by, bx, stride, pad int, relu bool, outScale float64) {
+func (j *layerJob) windowKernel(m int) {
+	c, pr, nd := j.c, j.pr, j.c.cfg.Nd
 	gi := c.assignGroup(m)
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
-	c.ins.tile(sp, m, gi)
+	c.ins.tile(j.sp, m, gi)
+	zBase := 0
+	if j.depthwise {
+		zBase = m
+	}
 	nchunks := len(pr.chunks)
-	for oy := 0; oy < by; oy++ {
-		for ox0 := 0; ox0 < bx; ox0 += c.cfg.Nd {
+	for oy := 0; oy < j.by; oy++ {
+		row := j.dst[(m*j.by+oy)*j.bx : (m*j.by+oy+1)*j.bx]
+		for ox0 := 0; ox0 < j.bx; ox0 += nd {
 			acc := sc.acc
 			for d := range acc {
 				acc[d] = 0
@@ -201,7 +223,7 @@ func (c *Chip) convKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, ou
 				for ci := 0; ci < nchunks; ci++ {
 					for u := 0; u < nu; u++ {
 						sc.weights[u] = pr.slot(m, (z0+u)*nchunks+ci)
-						fillWindow(sc.avals[u], qa, z0+u, oy, ox0, stride, pad, &pr.chunks[ci], c.cfg.Nd)
+						fillWindow(sc.avals[u], j.qa, zBase+z0+u, oy, ox0, j.stride, j.pad, &pr.chunks[ci], nd)
 					}
 					part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
 					if c.ins != nil {
@@ -212,12 +234,12 @@ func (c *Chip) convKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, ou
 					}
 				}
 			}
-			for d := 0; d < c.cfg.Nd && ox0+d < bx; d++ {
-				v := acc[d] * outScale
-				if relu && v < 0 {
+			for d := 0; d < nd && ox0+d < j.bx; d++ {
+				v := acc[d] * j.outScale
+				if j.relu && v < 0 {
 					v = 0
 				}
-				out.Set(m, oy, ox0+d, v)
+				row[ox0+d] = v
 			}
 		}
 	}
@@ -231,13 +253,8 @@ func (c *Chip) groupedConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvC
 		panic(fmt.Sprintf("core: groups %d do not divide channels %d/%d", groups, a.Z, w.M)) //lint:ignore exit-hygiene group divisibility invariant; caller bug
 	}
 	zPer, mPer := a.Z/groups, w.M/groups
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
-	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
-	out := tensor.NewVolume(w.M, by, bx)
+	out := newConvOutput(a, w, cfg)
+	by, bx := out.Y, out.X
 	for gi := 0; gi < groups; gi++ {
 		sub := tensor.NewVolume(zPer, a.Y, a.X)
 		for z := 0; z < zPer; z++ {
@@ -249,7 +266,7 @@ func (c *Chip) groupedConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvC
 		}
 		subW := tensor.NewKernels(mPer, w.Z, w.Y, w.X)
 		copy(subW.Data, w.Data[gi*mPer*w.Z*w.Y*w.X:(gi+1)*mPer*w.Z*w.Y*w.X])
-		subOut := c.Conv(sub, subW, tensor.ConvConfig{Stride: stride, Pad: cfg.Pad}, relu)
+		subOut := c.Conv(sub, subW, tensor.ConvConfig{Stride: cfg.Stride, Pad: cfg.Pad}, relu)
 		for m := 0; m < mPer; m++ {
 			for y := 0; y < by; y++ {
 				for x := 0; x < bx; x++ {
@@ -268,54 +285,8 @@ func (c *Chip) depthwiseConv(a *tensor.Volume, w *tensor.Kernels, cfg tensor.Con
 	if w.M != a.Z || w.Z != 1 {
 		panic("core: depthwise wants one depth-1 kernel per input channel") //lint:ignore exit-hygiene depthwise kernel shape invariant; caller bug
 	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progDepthwise, w)
-	outScale := aScale * pr.wScale
-	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
-	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
-	out := tensor.NewVolume(a.Z, by, bx)
-	sp := c.ins.beginLayer("depthwise", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-	nchunks := len(pr.chunks)
-	for z := 0; z < a.Z; z++ {
-		gi := c.assignGroup(z)
-		g := c.groups[gi]
-		sc := &g.conv
-		c.ins.tile(sp, z, gi)
-		for oy := 0; oy < by; oy++ {
-			for ox0 := 0; ox0 < bx; ox0 += c.cfg.Nd {
-				acc := sc.acc
-				for d := range acc {
-					acc[d] = 0
-				}
-				for ci := 0; ci < nchunks; ci++ {
-					sc.weights[0] = pr.slot(z, ci)
-					fillWindow(sc.avals[0], qa, z, oy, ox0, stride, cfg.Pad, &pr.chunks[ci], c.cfg.Nd)
-					part := g.stepPrequantized(sc.part, sc.weights[:1], sc.avals[:1])
-					if c.ins != nil {
-						c.ins.step(gi, 1)
-					}
-					for d := range acc {
-						acc[d] += part[d]
-					}
-				}
-				for d := 0; d < c.cfg.Nd && ox0+d < bx; d++ {
-					v := acc[d] * outScale
-					if relu && v < 0 {
-						v = 0
-					}
-					out.Set(z, oy, ox0+d, v)
-				}
-			}
-		}
-	}
+	out := newConvOutput(a, w, cfg)
+	c.windowLayer(progDepthwise, a, w, cfg, relu, ShardSpec{}, out)
 	return out
 }
 
@@ -327,19 +298,8 @@ func (c *Chip) Pointwise(a *tensor.Volume, w *tensor.Kernels, relu bool) *tensor
 	if w.Y != 1 || w.X != 1 || w.Z != a.Z {
 		panic("core: pointwise wants 1x1 kernels of full depth") //lint:ignore exit-hygiene pointwise kernel shape invariant; caller bug
 	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progBlock, w)
-	outScale := aScale * pr.wScale
 	out := tensor.NewVolume(w.M, a.Y, a.X)
-	sp := c.ins.beginLayer("pointwise", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-	npix := a.Y * a.X
-	for m := 0; m < w.M; m++ {
-		c.pointwiseKernel(qa, pr, sp, out, m, npix, relu, outScale)
-	}
+	c.blockLayer("pointwise", a, w, a.Z, a.Y*a.X, relu, ShardSpec{}, out.Data)
 	return out
 }
 
@@ -351,77 +311,78 @@ func (c *Chip) FullyConnected(a *tensor.Volume, w *tensor.Kernels, relu bool) []
 	if w.Z != a.Z || w.Y != a.Y || w.X != a.X {
 		panic("core: FC kernel shape must match the input volume") //lint:ignore exit-hygiene FC kernel shape invariant; caller bug
 	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progBlock, w)
-	outScale := aScale * pr.wScale
 	out := make([]float64, w.M)
-	sp := c.ins.beginLayer("fc", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return out
-	}
-	for m := 0; m < w.M; m++ {
-		v := c.fcNeuron(qa, pr, sp, m) * outScale
-		if relu && v < 0 {
-			v = 0
-		}
-		out[m] = v
-	}
+	c.blockLayer("fc", a, w, a.Z*a.Y*a.X, 1, relu, ShardSpec{}, out)
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ConvConcurrent is Conv with the PLCGs driven by parallel goroutines.
-// PLCGs are independent hardware blocks with private noise streams and
-// private scratch arenas, so partitioning kernels by their owning
-// group preserves every group's sequential draw order: the result is
-// bit-identical to Conv for the dense stride/pad path. Grouped and
-// depthwise layers fall back to the sequential implementation.
-func (c *Chip) ConvConcurrent(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvConfig, relu bool) *tensor.Volume {
-	if cfg.Depthwise || (cfg.Groups != 0 && cfg.Groups != 1) {
-		return c.Conv(a, w, cfg, relu)
-	}
-	if w.Z != a.Z {
-		panic(fmt.Sprintf("core: kernel depth %d != input channels %d", w.Z, a.Z)) //lint:ignore exit-hygiene kernel/input shape invariant; caller bug
-	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
+// blockLayer runs a pointwise (npix pixels of nz channels) or FC (one
+// pixel of every input element) layer's owned kernels into dst.
+func (c *Chip) blockLayer(name string, a *tensor.Volume, w *tensor.Kernels, nz, npix int, relu bool, shard ShardSpec, dst []float64) {
 	qa, aScale := c.prequantizeInput(a)
-	pr := c.programFor(progConv, w)
-	outScale := aScale * pr.wScale
-	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
-	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
-	out := tensor.NewVolume(w.M, by, bx)
-	sp := c.ins.beginLayer("conv", w.M, w.Z, w.Y, w.X)
+	pr := c.programShard(progBlock, w, shard)
+	sp := c.ins.beginLayer(name, w.M, w.Z, w.Y, w.X)
 	defer sp.End()
-	if outScale == 0 {
-		return out
+	if outScale := aScale * pr.wScale; outScale != 0 {
+		c.fanOut(layerArgs{qa: qa, pr: pr, sp: sp, dst: dst, kernels: w.M, nz: nz, npix: npix, relu: relu, outScale: outScale, shard: shard})
 	}
+}
 
-	var wg sync.WaitGroup
-	for pos := range c.active {
-		pos := pos
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Kernel ownership is by active-group position, the same
-			// assignment Conv's sequential assignGroup walk produces,
-			// so each PLCU sees its kernels in the same order and the
-			// noise draws stay bit-identical - and each goroutine
-			// touches exactly one group's scratch arena.
-			for m := pos; m < w.M; m += len(c.active) {
-				c.convKernel(qa, pr, sp, out, m, by, bx, stride, cfg.Pad, relu, outScale)
+// blockKernel streams kernel m's npix output pixels through its owning
+// PLCG under the Section III-C block mapping shared by pointwise, FC
+// and GEMM layers: each PLCU tap carries one of the nz reduction
+// elements, each PD column one pixel, and blocks of Nm elements
+// round-robin over the group's healthy units.
+//
+//hot: steady-state layer loop; per-tile work must not allocate.
+func (j *layerJob) blockKernel(m int) {
+	c, pr, npix := j.c, j.pr, j.npix
+	nm, nd := c.cfg.Nm, c.cfg.Nd
+	gi := c.assignGroup(m)
+	g := c.groups[gi]
+	nug := g.Capacity()
+	sc := &g.conv
+	c.ins.tile(j.sp, m, gi)
+	dst := j.dst[m*npix : (m+1)*npix]
+	for p0 := 0; p0 < npix; p0 += nd {
+		acc := sc.acc
+		for d := range acc {
+			acc[d] = 0
+		}
+		for b0 := 0; b0 < pr.slotsPer; b0 += nug {
+			nu := min(nug, pr.slotsPer-b0)
+			for u := 0; u < nu; u++ {
+				b := b0 + u
+				sc.weights[u] = pr.slot(m, b)
+				for t, row := range sc.avals[u] {
+					z := b*nm + t
+					for d := range row {
+						if z < j.nz && p0+d < npix {
+							row[d] = j.qa.Data[z*npix+p0+d]
+						} else {
+							row[d] = 0
+						}
+					}
+				}
 			}
-		}()
+			part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
+			if c.ins != nil {
+				c.ins.step(gi, nu)
+			}
+			for d := range acc {
+				acc[d] += part[d]
+			}
+		}
+		for d := 0; d < nd && p0+d < npix; d++ {
+			v := acc[d] * j.outScale
+			switch {
+			case j.subtract:
+				dst[p0+d] -= v
+			case j.relu && v < 0:
+				dst[p0+d] = 0
+			default:
+				dst[p0+d] = v
+			}
+		}
 	}
-	wg.Wait()
-	return out
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"albireo/internal/obs"
@@ -50,7 +49,7 @@ type gemmView struct {
 
 // bviewFor returns the chip's kernel-bank view of B (transposed:
 // kernel n's channel z carries B[z][n]), reusing the cached view's
-// backing tensor so programFor sees a stable pointer. A mutated B is
+// backing tensor so programShard sees a stable pointer. A mutated B is
 // detected by exact bit compare and re-transposed in place, which in
 // turn invalidates the compiled program via its own bit-compare.
 func (c *Chip) bviewFor(b *tensor.Matrix) *tensor.Kernels {
@@ -135,115 +134,19 @@ func (c *Chip) stageSigned(a *tensor.Matrix) {
 // positive-only passes combined digitally. If relu is true, max(0, x)
 // is applied during aggregation write-back.
 func (c *Chip) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
-	if a.C != b.R {
-		panic(fmt.Sprintf("core: gemm inner dims %d != %d", a.C, b.R)) //lint:ignore exit-hygiene matmul shape invariant; caller bug
-	}
-	mRows, n := a.R, b.C
-	w := c.bviewFor(b)
-	pr := c.programFor(progBlock, w)
-
-	if cap(c.gemmAcc) < n*mRows {
-		c.gemmAcc = make([]float64, n*mRows)
-	}
-	dst := c.gemmAcc[:n*mRows]
-	for i := range dst {
-		dst[i] = 0
-	}
-
-	c.stageSigned(a)
-	sp := c.ins.beginLayer("gemm", n, a.C, 1, 1)
-	defer sp.End()
-	out := tensor.NewMatrix(mRows, n)
-	if pr.wScale != 0 {
-		qa, aScale := c.prequantizeInput(&c.posVol)
-		if s := aScale * pr.wScale; s != 0 {
-			c.gemmPass(qa, pr, sp, dst, mRows, s, false, ShardSpec{})
-		}
-		qa, aScale = c.prequantizeInput(&c.negVol)
-		if s := aScale * pr.wScale; s != 0 {
-			c.gemmPass(qa, pr, sp, dst, mRows, s, true, ShardSpec{})
-		}
-	}
-	// Digital write-back: dst holds the product transposed (one PLCG
-	// kernel per output column); untranspose into row-major and clamp.
-	for j := 0; j < n; j++ {
-		col := dst[j*mRows : (j+1)*mRows]
-		for i, v := range col {
-			if relu && v < 0 {
-				v = 0
-			}
-			out.Data[i*n+j] = v
-		}
-	}
+	out := tensor.NewMatrix(a.R, b.C)
+	c.GEMMShard(a, b, relu, ShardSpec{}, out)
 	return out
 }
 
-// gemmPass streams one sign component of the activation matrix through
-// the block mapping - the Pointwise layer loop with matrix rows as
-// pixels. The first (positive) pass assigns dst so a skipped negative
-// pass leaves pointwise-identical bits; the negative pass subtracts in
-// the digital aggregation unit. A non-whole shard restricts the pass
-// to its owned output columns (GEMMShard).
-//
-//hot: steady-state GEMM loop; per-tile work must not allocate.
-func (c *Chip) gemmPass(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, dst []float64, npix int, outScale float64, subtract bool, shard ShardSpec) {
-	nm, nd := c.cfg.Nm, c.cfg.Nd
-	for m := 0; m < pr.m; m++ {
-		if !shard.Owns(m) {
-			continue
-		}
-		gi := c.assignGroup(m)
-		g := c.groups[gi]
-		nug := g.Capacity()
-		sc := &g.conv
-		c.ins.tile(sp, m, gi)
-		for p0 := 0; p0 < npix; p0 += nd {
-			acc := sc.acc
-			for d := range acc {
-				acc[d] = 0
-			}
-			for b0 := 0; b0 < pr.slotsPer; b0 += nug {
-				nu := min(nug, pr.slotsPer-b0)
-				for u := 0; u < nu; u++ {
-					b := b0 + u
-					sc.weights[u] = pr.slot(m, b)
-					rows := sc.avals[u]
-					for t := 0; t < nm; t++ {
-						row := rows[t]
-						z := b*nm + t
-						if z >= qa.Z {
-							for d := range row {
-								row[d] = 0
-							}
-							continue
-						}
-						base := z * npix
-						for d := 0; d < nd; d++ {
-							if p0+d < npix {
-								row[d] = qa.Data[base+p0+d]
-							} else {
-								row[d] = 0
-							}
-						}
-					}
-				}
-				part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
-				if c.ins != nil {
-					c.ins.step(gi, nu)
-				}
-				for d := range acc {
-					acc[d] += part[d]
-				}
-			}
-			if subtract {
-				for d := 0; d < nd && p0+d < npix; d++ {
-					dst[m*npix+p0+d] -= acc[d] * outScale
-				}
-			} else {
-				for d := 0; d < nd && p0+d < npix; d++ {
-					dst[m*npix+p0+d] = acc[d] * outScale
-				}
-			}
-		}
+// gemmPass streams one sign component of the staged activation matrix
+// (K channels of M pixels) through the block mapping - the Pointwise
+// layer loop with matrix rows as pixels. The first (positive) pass
+// assigns dst so a skipped negative pass leaves pointwise-identical
+// bits; the negative pass subtracts in the digital aggregation unit.
+func (c *Chip) gemmPass(part *tensor.Volume, pr *weightProgram, sp *obs.Span, dst []float64, shard ShardSpec, subtract bool) {
+	qa, aScale := c.prequantizeInput(part)
+	if s := aScale * pr.wScale; s != 0 {
+		c.fanOut(layerArgs{qa: qa, pr: pr, sp: sp, dst: dst, kernels: pr.m, nz: qa.Z, npix: qa.X, outScale: s, subtract: subtract, shard: shard})
 	}
 }

@@ -66,8 +66,9 @@ type chipObs struct {
 // chip. Either may be nil; passing both nil detaches instrumentation
 // entirely, restoring the bare hot path (a single pointer check per
 // PLCG step). Counters are cycle/event-denominated and never consult
-// a wall clock, so Conv and ConvConcurrent on the same inputs produce
-// bit-identical registry snapshots.
+// a wall clock, so two runs of a layer on the same inputs produce
+// bit-identical registry snapshots although the PLCGs record from
+// concurrent goroutines.
 func (c *Chip) Instrument(reg *obs.Registry, trace *obs.Trace) {
 	if reg == nil && trace == nil {
 		c.ins = nil
@@ -128,9 +129,9 @@ func (o *chipObs) beginLayer(kind string, m, z, ky, kx int) *obs.Span {
 }
 
 // tile records one kernel being scheduled onto a PLCG. Span events
-// are mutex-serialized, so ConvConcurrent may emit them from its
+// are mutex-serialized, so the layer fan-out may emit them from its
 // per-group goroutines; the arrival order differs run to run but the
-// event names and counts are identical to Conv's.
+// event names and counts do not.
 func (o *chipObs) tile(sp *obs.Span, m, gi int) {
 	if o == nil || o.trace == nil {
 		return

@@ -31,10 +31,9 @@ type PLCG struct {
 	// cycles instead of allocating per call.
 	sumBuf, curBuf []float64
 	// conv is the group-owned scratch arena the chip's layer loops
-	// (Conv, ConvConcurrent, depthwise, Pointwise, FullyConnected)
-	// stage slot weights and activations in. Group-owned so
-	// ConvConcurrent's one-goroutine-per-PLCG partitioning keeps it
-	// race-free.
+	// (Conv, depthwise, Pointwise, FullyConnected, GEMM) stage slot
+	// weights and activations in. Group-owned so the layer fan-out's
+	// one-goroutine-per-PLCG partitioning keeps it race-free.
 	conv convScratch
 }
 

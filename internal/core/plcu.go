@@ -32,15 +32,17 @@ type PLCU struct {
 	// unitCurrent is the photocurrent of one full-scale product
 	// (weight 1 x activation 1) after the complete optical path.
 	unitCurrent float64
-	// xtalk[i][j] is the fractional leakage of grid channel j into a
-	// ring tuned to channel i.
-	xtalk [][]float64
-	// busChannels[t] lists, for the MZM bus of tap t, the (column d,
-	// grid channel) pairs riding that bus.
-	busChannels [][]int
-	np          noise.Params
-	wq, aq      quant.Quantizer
-	rng         *rand.Rand
+	// xt[(t*Nd+d)*Nd+dp] is the fractional leakage of the wavelength of
+	// column dp on tap t's MZM bus into the ring of (t, d): the
+	// crosstalk matrix of the grid channels riding that bus, flattened
+	// so the datapath reads one contiguous row per ring. Nil when
+	// crosstalk is disabled.
+	xt []float64
+	// sigma is the RMS output-current noise of one Nm-wavelength
+	// accumulation (noise.Params.TotalSigma), constant per unit.
+	sigma  float64
+	wq, aq quant.Quantizer
+	rng    *rand.Rand
 	// faults holds injected hardware defects (see faults.go).
 	faults []Fault
 	// faultEpoch advances on every InjectFault/ClearFaults so the
@@ -67,22 +69,16 @@ func NewPLCU(cfg Config) *PLCU {
 	delivered := cfg.SignalPath().Deliver(cfg.LaserPower)
 	pd := photonics.NewPhotodiode()
 
-	nw := cfg.WavelengthsPerPLCU()
-	xa := circuit.NewCrosstalkAnalysis(cfg.K2, nw)
-	var xt [][]float64
+	var xt []float64
 	if !cfg.DisableCrosstalk {
-		xt = xa.CrosstalkMatrix()
-	}
-
-	bus := make([][]int, cfg.Nm)
-	for t := 0; t < cfg.Nm; t++ {
-		cols := make([]int, cfg.Nd)
-		for d := 0; d < cfg.Nd; d++ {
-			cols[d] = cfg.gridChannel(t, d)
+		xm := circuit.NewCrosstalkAnalysis(cfg.K2, cfg.WavelengthsPerPLCU()).CrosstalkMatrix()
+		xt = make([]float64, cfg.Nm*cfg.Nd*cfg.Nd)
+		for i := range xt {
+			t, d, dp := i/(cfg.Nd*cfg.Nd), i/cfg.Nd%cfg.Nd, i%cfg.Nd
+			xt[i] = xm[cfg.gridChannel(t, d)][cfg.gridChannel(t, dp)]
 		}
-		bus[t] = cols
 	}
-
+	unitCurrent := pd.Responsivity * delivered
 	np := noise.DefaultParams()
 	np.Bandwidth = cfg.ModulationRate()
 
@@ -94,10 +90,9 @@ func NewPLCU(cfg Config) *PLCU {
 
 	return &PLCU{
 		cfg:         cfg,
-		unitCurrent: pd.Responsivity * delivered,
-		xtalk:       xt,
-		busChannels: bus,
-		np:          np,
+		unitCurrent: unitCurrent,
+		xt:          xt,
+		sigma:       np.TotalSigma(unitCurrent, cfg.Nm),
 		wq:          quant.NewWeight(cfg.DACBits, 1),
 		aq:          quant.NewActivation(cfg.DACBits, 1),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
@@ -217,19 +212,19 @@ func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64) []float64
 			if w == 0 {
 				continue
 			}
-			mag := math.Abs(w)
+			mag, a := math.Abs(w), qa[t]
 			// Intended signal: the ring for (t, d) drops its own
 			// wavelength carrying |w| * a.
-			sig := mag * qa[t][d]
+			sig := mag * a[d]
 			// Crosstalk: the same ring couples a fraction of the other
 			// columns' wavelengths riding tap t's bus.
-			if p.xtalk != nil {
-				own := p.busChannels[t][d]
-				for dp := 0; dp < cfg.Nd; dp++ {
+			if p.xt != nil {
+				row := p.xt[(t*cfg.Nd+d)*cfg.Nd : (t*cfg.Nd+d+1)*cfg.Nd]
+				for dp, x := range row {
 					if dp == d {
 						continue
 					}
-					sig += p.xtalk[own][p.busChannels[t][dp]] * mag * qa[t][dp]
+					sig += x * mag * a[dp]
 				}
 			}
 			// Switching-ring faults attenuate whatever this ring
@@ -245,7 +240,7 @@ func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64) []float64
 		}
 		i := (pos - neg) * p.unitCurrent
 		if !cfg.DisableNoise {
-			i += p.np.Sample(p.rng, p.unitCurrent, cfg.Nm)
+			i += p.rng.NormFloat64() * p.sigma
 		}
 		dst[d] = i
 	}

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"albireo/internal/circuit"
 	"albireo/internal/device"
+	"albireo/internal/noise"
 )
 
 func idealConfig() Config {
@@ -182,7 +184,7 @@ func TestPLCUNoiseStatistics(t *testing.T) {
 	}
 	mean := sum / trials
 	std := math.Sqrt(sum2/trials - mean*mean)
-	want := p.np.TotalSigma(p.unitCurrent, 9)
+	want := p.sigma
 	if math.Abs(std-want)/want > 0.1 {
 		t.Errorf("noise std %g, want %g", std, want)
 	}
@@ -228,4 +230,62 @@ func TestPLCUPanics(t *testing.T) {
 		p.ReceptiveFieldAVals([][]float64{{1}, {1}, {1}})
 	})
 	expectPanic("invalid config", func() { NewPLCU(Config{}) })
+}
+
+// TestPLCUCachedSigma pins the per-unit noise cache: every unit's
+// sigma is exactly noise.Params.TotalSigma at its bandwidth, unit
+// current and Nm, the value the datapath used to recompute per sample.
+func TestPLCUCachedSigma(t *testing.T) {
+	t.Parallel()
+	noXT := DefaultConfig()
+	noXT.DisableCrosstalk = true
+	volt := DefaultConfig()
+	volt.VoltageDomainWeights = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"no-crosstalk", noXT}, {"voltage-domain", volt}} {
+		np := noise.DefaultParams()
+		np.Bandwidth = tc.cfg.ModulationRate()
+		for gi, g := range NewChip(tc.cfg).Groups() {
+			for ui, u := range g.Units() {
+				want := np.TotalSigma(u.UnitCurrent(), tc.cfg.Nm)
+				if math.Float64bits(u.sigma) != math.Float64bits(want) {
+					t.Errorf("%s: plcg%d/plcu%d sigma %g, want TotalSigma %g", tc.name, gi, ui, u.sigma, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPLCUFlatCrosstalkTable pins the flattened crosstalk table
+// against the grid matrix it is built from: entry (tap, d, dp) is the
+// leakage of the channel column dp rides on tap's bus into the ring of
+// column d.
+func TestPLCUFlatCrosstalkTable(t *testing.T) {
+	t.Parallel()
+	for _, cfg := range []Config{DefaultConfig(), func() Config {
+		c := DefaultConfig()
+		c.Nd, c.K2 = 3, 0.1
+		return c
+	}()} {
+		p := NewPLCU(cfg)
+		xm := circuit.NewCrosstalkAnalysis(cfg.K2, cfg.WavelengthsPerPLCU()).CrosstalkMatrix()
+		if len(p.xt) != cfg.Nm*cfg.Nd*cfg.Nd {
+			t.Fatalf("Nd=%d: table has %d entries, want %d", cfg.Nd, len(p.xt), cfg.Nm*cfg.Nd*cfg.Nd)
+		}
+		for tap := 0; tap < cfg.Nm; tap++ {
+			for d := 0; d < cfg.Nd; d++ {
+				for dp := 0; dp < cfg.Nd; dp++ {
+					want := xm[cfg.gridChannel(tap, d)][cfg.gridChannel(tap, dp)]
+					if got := p.xt[(tap*cfg.Nd+d)*cfg.Nd+dp]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("Nd=%d: xt(tap %d, d %d, dp %d) = %g, want %g", cfg.Nd, tap, d, dp, got, want)
+					}
+				}
+			}
+		}
+	}
+	if p := NewPLCU(idealConfig()); p.xt != nil {
+		t.Error("DisableCrosstalk should leave the table nil")
+	}
 }

@@ -127,14 +127,9 @@ func (c *Chip) faultEpochSum() int64 {
 	return s
 }
 
-// programFor returns the compiled weight program for (w, kind),
-// reusing the cached compilation when the kernel bits, quarantine
-// schedule, and fault state are all unchanged.
-func (c *Chip) programFor(kind programKind, w *tensor.Kernels) *weightProgram {
-	return c.programShard(kind, w, ShardSpec{})
-}
-
-// programShard is programFor for a kernel-group shard: the compiled
+// programShard returns the compiled weight program for (w, kind) and
+// a kernel-group shard, reusing the cached compilation when the kernel
+// bits, quarantine schedule, and fault state are all unchanged. The
 // program covers only the shard's owned kernels (unowned slots stay
 // zero, so slot indexing is unchanged), which makes per-shard compile
 // time and cache footprint proportional to the owned slice.

@@ -15,9 +15,9 @@ type UnitRef struct {
 // String implements fmt.Stringer.
 func (u UnitRef) String() string { return fmt.Sprintf("plcg%d/plcu%d", u.Group, u.Unit) }
 
-// Quarantine marks PLCU (group, unit) unusable: Conv, ConvConcurrent,
-// Pointwise, FullyConnected, and the depthwise/grouped paths remap
-// their kernel work onto the remaining healthy units deterministically
+// Quarantine marks PLCU (group, unit) unusable: every layer mapping
+// (dense, depthwise, grouped, pointwise, FC, GEMM and the shard paths)
+// remaps its kernel work onto the remaining healthy units deterministically
 // (a group with fewer units takes more ceil(Wz/capacity) aggregation
 // cycles; a fully-quarantined group is dropped from the kernel
 // round-robin). The quarantined unit is never driven again, so its

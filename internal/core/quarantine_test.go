@@ -134,34 +134,21 @@ func TestQuarantineBitIdenticalAcrossMappings(t *testing.T) {
 
 func TestConvConcurrentUnderQuarantine(t *testing.T) {
 	t.Parallel()
-	// The concurrent schedule partitions kernels by active-group
-	// position, so it must agree bit for bit with sequential Conv even
-	// when quarantine has shrunk (and renumbered) the group list.
+	// Conv partitions kernels by active-group position, so it must
+	// reproduce the serial schedule's bits even when quarantine has
+	// shrunk (and renumbered) the group list.
 	a := tensor.RandomVolume(6, 9, 9, 301)
 	w := tensor.RandomKernels(13, 6, 3, 3, 302)
-	cc := tensor.ConvConfig{Stride: 1, Pad: 1}
-	quarantine := func(c *Chip) {
-		// Empty group 1 entirely plus one unit elsewhere: exercises both
-		// group-drop and capacity-shrink remapping.
-		for u := 0; u < c.Config().Nu; u++ {
-			if err := c.Quarantine(1, u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.Quarantine(4, 2); err != nil {
-			t.Fatal(err)
-		}
+	c := NewChip(DefaultConfig())
+	// Empty group 1 entirely plus one unit elsewhere: exercises both
+	// group-drop and capacity-shrink remapping.
+	for u := 0; u < c.Config().Nu; u++ {
+		mustQuarantine(c, 1, u)
 	}
-	seqChip := NewChip(DefaultConfig())
-	quarantine(seqChip)
-	parChip := NewChip(DefaultConfig())
-	quarantine(parChip)
-	seq := seqChip.Conv(a, w, cc, true)
-	par := parChip.ConvConcurrent(a, w, cc, true)
-	for i := range seq.Data {
-		if seq.Data[i] != par.Data[i] {
-			t.Fatalf("concurrent divergence under quarantine at %d", i)
-		}
+	mustQuarantine(c, 4, 2)
+	out := c.Conv(a, w, tensor.ConvConfig{Stride: 1, Pad: 1}, true)
+	if got, want := goldenHash(out.Data), uint64(0x7ac8b49e854d70b5); got != want {
+		t.Fatalf("output bits under quarantine 0x%016x, want serial-era 0x%016x", got, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"albireo/internal/obs"
 	"albireo/internal/tensor"
 )
 
@@ -223,53 +222,17 @@ func (c *Chip) ConvShard(a *tensor.Volume, w *tensor.Kernels, cfg tensor.ConvCon
 	if w.Z != a.Z {
 		panic(fmt.Sprintf("core: kernel depth %d != input channels %d", w.Z, a.Z)) //lint:ignore exit-hygiene kernel/input shape invariant; caller bug
 	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = 1
-	}
+	stride := convStride(cfg)
 	by := tensor.ConvOutputDim(a.Y, w.Y, cfg.Pad, stride)
 	bx := tensor.ConvOutputDim(a.X, w.X, cfg.Pad, stride)
 	if out.Z != w.M || out.Y != by || out.X != bx {
 		panic(fmt.Sprintf("core: shard output %dx%dx%d != layer output %dx%dx%d", out.Z, out.Y, out.X, w.M, by, bx)) //lint:ignore exit-hygiene merge buffer shape invariant; caller bug
 	}
 	if shardedPointwise(w, cfg, stride) {
-		c.pointwiseShard(a, w, relu, shard, out)
+		c.blockLayer("pointwise", a, w, a.Z, a.Y*a.X, relu, shard, out.Data)
 		return
 	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programShard(progConv, w, shard)
-	outScale := aScale * pr.wScale
-	sp := c.ins.beginLayer("conv", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return
-	}
-	for m := 0; m < w.M; m++ {
-		if !shard.Owns(m) {
-			continue
-		}
-		c.convKernel(qa, pr, sp, out, m, by, bx, stride, cfg.Pad, relu, outScale)
-	}
-}
-
-// pointwiseShard is the owned-slice pointwise mapping behind
-// ConvShard's routing.
-func (c *Chip) pointwiseShard(a *tensor.Volume, w *tensor.Kernels, relu bool, shard ShardSpec, out *tensor.Volume) {
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programShard(progBlock, w, shard)
-	outScale := aScale * pr.wScale
-	sp := c.ins.beginLayer("pointwise", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return
-	}
-	npix := a.Y * a.X
-	for m := 0; m < w.M; m++ {
-		if !shard.Owns(m) {
-			continue
-		}
-		c.pointwiseKernel(qa, pr, sp, out, m, npix, relu, outScale)
-	}
+	c.windowLayer(progConv, a, w, cfg, relu, shard, out)
 }
 
 // FullyConnectedShard executes the shard's neuron slice of an FC
@@ -285,24 +248,7 @@ func (c *Chip) FullyConnectedShard(a *tensor.Volume, w *tensor.Kernels, relu boo
 	if len(out) != w.M {
 		panic(fmt.Sprintf("core: shard output length %d != %d neurons", len(out), w.M)) //lint:ignore exit-hygiene merge buffer shape invariant; caller bug
 	}
-	qa, aScale := c.prequantizeInput(a)
-	pr := c.programShard(progBlock, w, shard)
-	outScale := aScale * pr.wScale
-	sp := c.ins.beginLayer("fc", w.M, w.Z, w.Y, w.X)
-	defer sp.End()
-	if outScale == 0 {
-		return
-	}
-	for m := 0; m < w.M; m++ {
-		if !shard.Owns(m) {
-			continue
-		}
-		v := c.fcNeuron(qa, pr, sp, m) * outScale
-		if relu && v < 0 {
-			v = 0
-		}
-		out[m] = v
-	}
+	c.blockLayer("fc", a, w, a.Z*a.Y*a.X, 1, relu, shard, out)
 }
 
 // GEMMShard executes the shard's output-column slice of a matrix
@@ -335,15 +281,11 @@ func (c *Chip) GEMMShard(a, b *tensor.Matrix, relu bool, shard ShardSpec, out *t
 	sp := c.ins.beginLayer("gemm", n, a.C, 1, 1)
 	defer sp.End()
 	if pr.wScale != 0 {
-		qa, aScale := c.prequantizeInput(&c.posVol)
-		if s := aScale * pr.wScale; s != 0 {
-			c.gemmPass(qa, pr, sp, dst, mRows, s, false, shard)
-		}
-		qa, aScale = c.prequantizeInput(&c.negVol)
-		if s := aScale * pr.wScale; s != 0 {
-			c.gemmPass(qa, pr, sp, dst, mRows, s, true, shard)
-		}
+		c.gemmPass(&c.posVol, pr, sp, dst, shard, false)
+		c.gemmPass(&c.negVol, pr, sp, dst, shard, true)
 	}
+	// Digital write-back: dst holds the product transposed (one PLCG
+	// kernel per output column); untranspose into row-major and clamp.
 	for j := 0; j < n; j++ {
 		if !shard.Owns(j) {
 			continue
@@ -356,103 +298,4 @@ func (c *Chip) GEMMShard(a, b *tensor.Matrix, relu bool, shard ShardSpec, out *t
 			out.Data[i*n+j] = v
 		}
 	}
-}
-
-// pointwiseKernel streams every output pixel of kernel m through its
-// owning PLCG under the Section III-C pointwise mapping. Shared by
-// Pointwise and the shard path, like convKernel for the conv layout.
-//
-//hot: steady-state layer loop; per-tile work must not allocate.
-func (c *Chip) pointwiseKernel(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, out *tensor.Volume, m, npix int, relu bool, outScale float64) {
-	gi := c.assignGroup(m)
-	g := c.groups[gi]
-	nug := g.Capacity()
-	sc := &g.conv
-	c.ins.tile(sp, m, gi)
-	nm, nd := c.cfg.Nm, c.cfg.Nd
-	for p0 := 0; p0 < npix; p0 += nd {
-		acc := sc.acc
-		for d := range acc {
-			acc[d] = 0
-		}
-		for b0 := 0; b0 < pr.slotsPer; b0 += nug {
-			nu := min(nug, pr.slotsPer-b0)
-			for u := 0; u < nu; u++ {
-				b := b0 + u
-				sc.weights[u] = pr.slot(m, b)
-				rows := sc.avals[u]
-				for t := 0; t < nm; t++ {
-					row := rows[t]
-					z := b*nm + t
-					if z >= qa.Z {
-						for d := range row {
-							row[d] = 0
-						}
-						continue
-					}
-					base := z * npix
-					for d := 0; d < nd; d++ {
-						if p0+d < npix {
-							row[d] = qa.Data[base+p0+d]
-						} else {
-							row[d] = 0
-						}
-					}
-				}
-			}
-			part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
-			if c.ins != nil {
-				c.ins.step(gi, nu)
-			}
-			for d := range acc {
-				acc[d] += part[d]
-			}
-		}
-		for d := 0; d < nd && p0+d < npix; d++ {
-			v := acc[d] * outScale
-			if relu && v < 0 {
-				v = 0
-			}
-			out.Data[m*npix+p0+d] = v
-		}
-	}
-}
-
-// fcNeuron accumulates output neuron m of an FC layer through its
-// owning PLCG and returns the raw (unscaled) sum. Shared by
-// FullyConnected and the shard path.
-//
-//hot: steady-state layer loop; per-tile work must not allocate.
-func (c *Chip) fcNeuron(qa *tensor.Volume, pr *weightProgram, sp *obs.Span, m int) float64 {
-	n := qa.Z * qa.Y * qa.X
-	nm := c.cfg.Nm
-	gi := c.assignGroup(m)
-	g := c.groups[gi]
-	nug := g.Capacity()
-	sc := &g.conv
-	c.ins.tile(sp, m, gi)
-	var acc float64
-	for b0 := 0; b0 < pr.slotsPer; b0 += nug {
-		nu := min(nug, pr.slotsPer-b0)
-		for u := 0; u < nu; u++ {
-			b := b0 + u
-			sc.weights[u] = pr.slot(m, b)
-			rows := sc.avals[u]
-			for t := 0; t < nm; t++ {
-				row := rows[t]
-				for d := range row {
-					row[d] = 0
-				}
-				if e := b*nm + t; e < n {
-					row[0] = qa.Data[e]
-				}
-			}
-		}
-		part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
-		if c.ins != nil {
-			c.ins.step(gi, nu)
-		}
-		acc += part[0]
-	}
-	return acc
 }

@@ -1,9 +1,9 @@
 // Package lint implements albireo's repo-specific static analyzer.
 //
-// The simulator's headline guarantees - bit-identical results between
-// Conv and ConvConcurrent, SI units on every physical quantity, and
-// noise draws that come only from injected *rand.Rand streams - are
-// invariants nothing in the compiler enforces. This package builds a
+// The simulator's headline guarantees - bit-identical results however
+// the PLCGs are scheduled onto goroutines, SI units on every physical
+// quantity, and noise draws that come only from injected *rand.Rand
+// streams - are invariants nothing in the compiler enforces. This package builds a
 // type-aware analyzer framework on the standard library's go/parser,
 // go/types, and go/importer (no external dependencies; go.mod stays
 // empty) and ships the repo-specific rules that keep those invariants

@@ -12,7 +12,7 @@ import (
 // outside the loop, records telemetry, or sends on a channel -
 // without the result being sorted afterwards. Map iteration order is
 // randomized per run, so any of these turns bit-identical inputs into
-// run-dependent output, breaking the Conv/ConvConcurrent equality and
+// run-dependent output, breaking the run-to-run equality and
 // golden-file invariants.
 //
 // Order-insensitive bodies are clean: accumulating into scalars,

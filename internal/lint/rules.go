@@ -102,8 +102,8 @@ var forbiddenRandFuncs = map[string]bool{
 // Determinism forbids the global math/rand functions and time.Now in
 // simulation packages. Every stochastic quantity must flow from an
 // injected, seeded *rand.Rand (the noise.Params.Sample pattern) so
-// that Conv and ConvConcurrent stay bit-identical and every run is
-// reproducible from its seed.
+// that Conv stays bit-identical however its PLCGs are spread over
+// goroutines and every run is reproducible from its seed.
 func Determinism() *Rule {
 	return &Rule{
 		Name:     "determinism",
@@ -147,7 +147,7 @@ func Determinism() *Rule {
 // telemetry recorded by internal/ packages must be denominated in
 // simulation cycles and event counts, never wall time, so that
 // identical inputs always record bit-identical metrics (the
-// Conv/ConvConcurrent snapshot-equality invariant). Wall time enters
+// run-to-run snapshot-equality invariant). Wall time enters
 // the system only at the cmd boundary through an injected obs.Clock;
 // internal/obs itself hosts that boundary (WallClock) and is exempt.
 // Unlike the determinism rule, this also flags time.Since - a wall

@@ -17,15 +17,15 @@
 //     event-denominated. Nothing in this package reads the wall clock
 //     except WallClock, the injected Clock implementation that lives
 //     only at the cmd boundary. Two runs with the same seed produce
-//     bit-identical snapshots; Conv and ConvConcurrent produce
-//     bit-identical counter totals because counter addition commutes.
+//     bit-identical snapshots, although the chip's PLCGs record from
+//     concurrent goroutines, because counter addition commutes.
 //   - Nil-safe and off by default: every method on a nil *Registry,
 //     nil *Trace, nil *Span, nil *Counter, nil *Gauge, and nil
 //     *Histogram is a no-op, so instrumented hot paths cost one nil
 //     check when observation is not attached.
 //   - Race-safe: counters and gauges are atomics, histograms and the
-//     trace are mutex-protected, so ConvConcurrent's goroutines may
-//     record freely.
+//     trace are mutex-protected, so the chip's per-PLCG goroutines
+//     may record freely.
 package obs
 
 import (

@@ -302,8 +302,8 @@ func (t *Trace) Reset() {
 }
 
 // CountByKind tallies events per kind name - the order-insensitive
-// view two schedules of the same work must agree on (the Conv vs
-// ConvConcurrent trace invariant).
+// view two schedules of the same work must agree on (two runs of a
+// layer whose PLCGs emit events from concurrent goroutines).
 func (t *Trace) CountByKind() map[string]int64 {
 	out := make(map[string]int64)
 	if t == nil {
