@@ -2,6 +2,9 @@
 # check.sh - the tier-1 verification gate, with teeth.
 #
 #   build      the whole module compiles
+#   gofmt      every Go file is gofmt-clean (this also keeps the
+#              //hot: lint markers in the directive form gofmt leaves
+#              alone)
 #   vet        stdlib static analysis
 #   race test  the full suite under the race detector (the layer
 #              fan-out's bit-identity and contended-pool tests run here)
@@ -47,6 +50,14 @@ cd "$(dirname "$0")"
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: files need formatting (gofmt -w):"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...

@@ -121,3 +121,31 @@ func TestGEMMEndpointRelu(t *testing.T) {
 		}
 	}
 }
+
+// TestGEMMEndpointRejectsOversizedShapes: r = c = 2^32 with empty data
+// used to wrap r*c to zero, pass the length check and panic a fleet
+// worker. Operands and products past what a request body can carry
+// must get 400, and the server must go on serving.
+func TestGEMMEndpointRejectsOversizedShapes(t *testing.T) {
+	t.Parallel()
+	srv, _ := testServer(t)
+	a := tensor.RandomMatrix(2, 4, 85)
+	b := tensor.RandomMatrix(4, 3, 86)
+	huge := gemmMatrix{R: 1 << 32, C: 1 << 32}
+	col, row := tensor.RandomMatrix(4096, 1, 87), tensor.RandomMatrix(1, 4096, 88)
+	for _, tc := range []struct {
+		name string
+		req  gemmRequest
+	}{
+		{"a and b wrap", gemmRequest{A: huge, B: huge}},
+		{"a past the body cap", gemmRequest{A: gemmMatrix{R: maxWireElems + 1, C: 1}, B: wireMatrix(b)}},
+		{"product past the body cap", gemmRequest{A: wireMatrix(col), B: wireMatrix(row)}},
+	} {
+		if rec := postGEMM(t, srv, tc.req); rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.name, rec.Code)
+		}
+	}
+	if rec := postGEMM(t, srv, gemmRequest{A: wireMatrix(a), B: wireMatrix(b)}); rec.Code != http.StatusOK {
+		t.Fatalf("valid request after rejects: %d %s", rec.Code, rec.Body.String())
+	}
+}

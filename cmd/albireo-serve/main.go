@@ -53,6 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -86,6 +87,11 @@ const handlerTimeout = 10 * time.Second
 
 // maxInferBody bounds a /v1/infer request body.
 const maxInferBody = 8 << 20
+
+// maxWireElems caps the element count of a /v1/gemm operand or product
+// at what a maxInferBody body can carry: every JSON array element
+// takes at least two bytes (a digit and a separator).
+const maxWireElems = maxInferBody / 2
 
 // reprobeInterval is roughly how often drained workers are re-scanned
 // for return-to-service (rounded to whole linger ticks).
@@ -449,6 +455,10 @@ func (st *serveState) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("data length %d, want %d", len(req.Data), req.Z*req.Y*req.X), http.StatusBadRequest)
 		return
 	}
+	if err := checkValues("data", req.Data, true); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	vol := &tensor.Volume{Z: req.Z, Y: req.Y, X: req.X, Data: req.Data}
 
 	before := st.fleet.Ticks()
@@ -509,13 +519,41 @@ func gemmOp(s string) (journal.Op, bool) {
 	}
 }
 
+// checkShape validates an r x c matrix shape: positive dimensions and
+// at most maxWireElems elements, checked without forming a product
+// that could overflow.
+func checkShape(name string, r, c int) error {
+	if r < 1 || c < 1 {
+		return fmt.Errorf("matrix %s shape %dx%d: dimensions must be positive", name, r, c)
+	}
+	if r > maxWireElems/c {
+		return fmt.Errorf("matrix %s shape %dx%d: more than %d elements", name, r, c, maxWireElems)
+	}
+	return nil
+}
+
 // checkMatrix validates one wire operand.
 func checkMatrix(name string, m gemmMatrix) error {
-	if m.R < 1 || m.C < 1 {
-		return fmt.Errorf("matrix %s shape %dx%d: dimensions must be positive", name, m.R, m.C)
+	if err := checkShape(name, m.R, m.C); err != nil {
+		return err
 	}
 	if len(m.Data) != m.R*m.C {
 		return fmt.Errorf("matrix %s data length %d, want %d", name, len(m.Data), m.R*m.C)
+	}
+	return checkValues(name, m.Data, false)
+}
+
+// checkValues rejects a non-finite element of a wire operand and, when
+// the operand is encoded as optical power (an image pixel), a negative
+// one.
+func checkValues(name string, data []float64, nonNeg bool) error {
+	for i, v := range data {
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return fmt.Errorf("%s[%d] is %v: values must be finite", name, i, v)
+		case nonNeg && v < 0:
+			return fmt.Errorf("%s[%d] is %v: pixels are optical power and must be non-negative", name, i, v)
+		}
 	}
 	return nil
 }
@@ -550,6 +588,10 @@ func (st *serveState) handleGEMM(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.A.C != req.B.R {
 		http.Error(w, fmt.Sprintf("inner dimensions disagree: a is %dx%d, b is %dx%d", req.A.R, req.A.C, req.B.R, req.B.C), http.StatusBadRequest)
+		return
+	}
+	if err := checkShape("product", req.A.R, req.B.C); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	a := &tensor.Matrix{R: req.A.R, C: req.A.C, Data: req.A.Data}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -531,5 +532,55 @@ func TestEndToEndDegradedServe(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "fleet drained") {
 		t.Errorf("shutdown log: %q", out.String())
+	}
+}
+
+// TestInferEndpointRejectsBadPixels: a negative pixel used to reach
+// the analog chip's optical-power check on a fleet worker and take the
+// process down. It, and a NaN the JSON decoder refuses, must get 400,
+// and the server must go on serving.
+func TestInferEndpointRejectsBadPixels(t *testing.T) {
+	t.Parallel()
+	srv, _ := testServer(t)
+	in := tensor.RandomVolume(3, 8, 8, 9)
+	neg := in.Clone()
+	neg.Data[17] = -0.25
+	if rec := postInfer(t, srv, inferRequest{Z: 3, Y: 8, X: 8, Data: neg.Data}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("negative pixel: %d %s", rec.Code, rec.Body.String())
+	}
+	raw, err := json.Marshal(inferRequest{Z: 3, Y: 8, X: 8, Data: in.Data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := strings.Replace(string(raw), `"data":[`, `"data":[NaN,`, 1)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/infer", strings.NewReader(nan)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("NaN pixel: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := postInfer(t, srv, inferRequest{Z: 3, Y: 8, X: 8, Data: in.Data}); rec.Code != http.StatusOK {
+		t.Fatalf("valid request after rejects: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestCheckValues covers the wire-value helper both endpoints share,
+// including the non-finite values JSON cannot carry.
+func TestCheckValues(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		data   []float64
+		nonNeg bool
+		ok     bool
+	}{
+		{[]float64{0, 0.5, 1}, true, true},
+		{[]float64{-1, 2}, false, true},
+		{[]float64{0.5, -0.0001}, true, false},
+		{[]float64{math.NaN()}, false, false},
+		{[]float64{1, math.Inf(1)}, false, false},
+		{[]float64{math.Inf(-1)}, true, false},
+	} {
+		if err := checkValues("x", tc.data, tc.nonNeg); (err == nil) != tc.ok {
+			t.Errorf("checkValues(%v, nonNeg=%v) = %v, want ok=%v", tc.data, tc.nonNeg, err, tc.ok)
+		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 // The steady-state layer loops are weight-stationary and
 // allocation-free: weight programs are compiled once per kernel
 // tensor (see program.go), activations are normalized and
-// DAC-quantized once per layer into a chip-owned scratch volume, and
-// every per-tile buffer comes from the per-PLCG scratch arenas.
+// DAC-quantized once per layer into a chip-owned scratch volume and
+// laid out once into the chip's tile plane (see tiles.go), and every
+// per-cycle buffer comes from the per-PLCG scratch arenas.
 type Chip struct {
 	cfg    Config
 	groups []*PLCG
@@ -32,6 +33,9 @@ type Chip struct {
 	// backing array grows to the largest layer seen and is then
 	// reused.
 	qaVol tensor.Volume
+	// tiles is the running layer's tile plane, grow-only (see
+	// tiles.go).
+	tiles []float64
 	// progs caches compiled weight programs keyed by kernel-tensor
 	// identity and mapping kind.
 	progs map[progKey]*weightProgram
@@ -58,10 +62,11 @@ func NewChip(cfg Config) *Chip {
 	}
 	groups := make([]*PLCG, cfg.Ng)
 	active := make([]int, cfg.Ng)
+	xt := crosstalkTable(cfg)
 	for gi := range groups {
 		gcfg := cfg
 		gcfg.Seed = cfg.Seed*7919 + int64(gi)
-		groups[gi] = NewPLCG(gcfg)
+		groups[gi] = newPLCG(gcfg, xt)
 		active[gi] = gi
 	}
 	return &Chip{
@@ -186,19 +191,24 @@ func (c *Chip) windowLayer(kind programKind, a *tensor.Volume, w *tensor.Kernels
 	}
 	sp := c.ins.beginLayer(name, w.M, w.Z, w.Y, w.X)
 	defer sp.End()
-	if outScale := aScale * pr.wScale; outScale != 0 {
-		c.fanOut(layerArgs{window: true, depthwise: kind == progDepthwise, qa: qa, pr: pr, sp: sp, dst: out.Data, kernels: w.M,
-			by: out.Y, bx: out.X, stride: convStride(cfg), pad: cfg.Pad, relu: relu, outScale: outScale, shard: shard})
+	outScale := aScale * pr.wScale
+	if outScale == 0 {
+		return
 	}
+	nxt := (out.X + c.cfg.Nd - 1) / c.cfg.Nd
+	tiles := c.tilePlane(out.Y * nxt * qa.Z * len(pr.chunks))
+	gatherWindowTiles(tiles, qa, out.Y, nxt, convStride(cfg), cfg.Pad, pr.chunks, c.cfg.Nm, c.cfg.Nd)
+	c.fanOut(layerArgs{window: true, depthwise: kind == progDepthwise, tiles: tiles, pr: pr, sp: sp, dst: out.Data, kernels: w.M,
+		by: out.Y, bx: out.X, nxt: nxt, tz: qa.Z, relu: relu, outScale: outScale, shard: shard})
 }
 
 // windowKernel streams every output tile of kernel m through its
-// owning PLCG: weights come from the compiled program, activations are
-// gathered into the group's scratch arena, and partial sums accumulate
-// across channel groups and tap chunks. A depthwise kernel reads only
-// its own input channel m.
+// owning PLCG: weights come from the compiled program, activations
+// from the layer's tile plane, and partial sums accumulate across
+// channel groups and tap chunks. A depthwise kernel reads only its own
+// input channel m.
 //
-//hot: steady-state layer loop; per-tile work must not allocate.
+//hot:steady-state layer loop; per-tile work must not allocate.
 func (j *layerJob) windowKernel(m int) {
 	c, pr, nd := j.c, j.pr, j.c.cfg.Nd
 	gi := c.assignGroup(m)
@@ -213,7 +223,11 @@ func (j *layerJob) windowKernel(m int) {
 	nchunks := len(pr.chunks)
 	for oy := 0; oy < j.by; oy++ {
 		row := j.dst[(m*j.by+oy)*j.bx : (m*j.by+oy+1)*j.bx]
-		for ox0 := 0; ox0 < j.bx; ox0 += nd {
+		for xt := 0; xt < j.nxt; xt++ {
+			ox0 := xt * nd
+			// Tile index of (oy, xt, zBase, chunk 0); slot (z, ci)
+			// of the kernel reads the tile z*nchunks+ci past it.
+			base := ((oy*j.nxt+xt)*j.tz + zBase) * nchunks
 			acc := sc.acc
 			for d := range acc {
 				acc[d] = 0
@@ -222,8 +236,9 @@ func (j *layerJob) windowKernel(m int) {
 				nu := min(nug, pr.zDim-z0)
 				for ci := 0; ci < nchunks; ci++ {
 					for u := 0; u < nu; u++ {
-						sc.weights[u] = pr.slot(m, (z0+u)*nchunks+ci)
-						fillWindow(sc.avals[u], j.qa, zBase+z0+u, oy, ox0, j.stride, j.pad, &pr.chunks[ci], nd)
+						s := (z0+u)*nchunks + ci
+						sc.weights[u] = pr.slot(m, s)
+						sc.avals[u] = j.tile(base + s)
 					}
 					part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
 					if c.ins != nil {
@@ -323,47 +338,50 @@ func (c *Chip) blockLayer(name string, a *tensor.Volume, w *tensor.Kernels, nz, 
 	pr := c.programShard(progBlock, w, shard)
 	sp := c.ins.beginLayer(name, w.M, w.Z, w.Y, w.X)
 	defer sp.End()
-	if outScale := aScale * pr.wScale; outScale != 0 {
-		c.fanOut(layerArgs{qa: qa, pr: pr, sp: sp, dst: dst, kernels: w.M, nz: nz, npix: npix, relu: relu, outScale: outScale, shard: shard})
+	c.runBlock(qa.Data, nz, aScale, layerArgs{pr: pr, sp: sp, dst: dst, kernels: w.M, npix: npix, relu: relu, shard: shard})
+}
+
+// runBlock lays out a block layer's tile plane from nz reduction
+// elements of args.npix pixels each (qa, normalized by aScale) and
+// fans its kernels out. A zero output scale - an all-zero input or
+// kernel bank - skips both: no cycle runs and no noise is drawn.
+func (c *Chip) runBlock(qa []float64, nz int, aScale float64, args layerArgs) {
+	if args.outScale = aScale * args.pr.wScale; args.outScale == 0 {
+		return
 	}
+	nd := c.cfg.Nd
+	nblocks := args.pr.slotsPer
+	args.tiles = c.tilePlane((args.npix + nd - 1) / nd * nblocks)
+	gatherBlockTiles(args.tiles, qa, nz, args.npix, nblocks, c.cfg.Nm, nd)
+	c.fanOut(args)
 }
 
 // blockKernel streams kernel m's npix output pixels through its owning
 // PLCG under the Section III-C block mapping shared by pointwise, FC
-// and GEMM layers: each PLCU tap carries one of the nz reduction
+// and GEMM layers: each PLCU tap carries one of the reduction
 // elements, each PD column one pixel, and blocks of Nm elements
 // round-robin over the group's healthy units.
 //
-//hot: steady-state layer loop; per-tile work must not allocate.
+//hot:steady-state layer loop; per-tile work must not allocate.
 func (j *layerJob) blockKernel(m int) {
 	c, pr, npix := j.c, j.pr, j.npix
-	nm, nd := c.cfg.Nm, c.cfg.Nd
+	nd, nblocks := c.cfg.Nd, pr.slotsPer
 	gi := c.assignGroup(m)
 	g := c.groups[gi]
 	nug := g.Capacity()
 	sc := &g.conv
 	c.ins.tile(j.sp, m, gi)
 	dst := j.dst[m*npix : (m+1)*npix]
-	for p0 := 0; p0 < npix; p0 += nd {
+	for p0, pt := 0, 0; p0 < npix; p0, pt = p0+nd, pt+1 {
 		acc := sc.acc
 		for d := range acc {
 			acc[d] = 0
 		}
-		for b0 := 0; b0 < pr.slotsPer; b0 += nug {
-			nu := min(nug, pr.slotsPer-b0)
+		for b0 := 0; b0 < nblocks; b0 += nug {
+			nu := min(nug, nblocks-b0)
 			for u := 0; u < nu; u++ {
-				b := b0 + u
-				sc.weights[u] = pr.slot(m, b)
-				for t, row := range sc.avals[u] {
-					z := b*nm + t
-					for d := range row {
-						if z < j.nz && p0+d < npix {
-							row[d] = j.qa.Data[z*npix+p0+d]
-						} else {
-							row[d] = 0
-						}
-					}
-				}
+				sc.weights[u] = pr.slot(m, b0+u)
+				sc.avals[u] = j.tile(pt*nblocks + b0 + u)
 			}
 			part := g.stepPrequantized(sc.part, sc.weights[:nu], sc.avals[:nu])
 			if c.ins != nil {

@@ -89,10 +89,10 @@ func TestFanOutPanicReachesCaller(t *testing.T) {
 	// One block kernel per group position, with no weight codes
 	// compiled for the last kernel: only that position panics.
 	bad := layerArgs{
-		qa:      tensor.NewVolume(cfg.Nm, 1, 1),
+		tiles:   make([]float64, cfg.Nm*cfg.Nd),
 		pr:      &weightProgram{nm: cfg.Nm, slotsPer: 1, codes: make([]float64, (npos-1)*cfg.Nm)},
 		dst:     make([]float64, npos),
-		kernels: npos, nz: cfg.Nm, npix: 1, outScale: 1,
+		kernels: npos, npix: 1, outScale: 1,
 	}
 	for i := 0; i < 10; i++ {
 		func() {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"albireo/internal/obs"
-	"albireo/internal/tensor"
 )
 
 // Every layer runs its kernels on all active PLCGs at once, as the
@@ -55,21 +54,23 @@ func helper() {
 }
 
 // layerArgs describes one layer's kernel loop. A window layer (dense
-// or depthwise convolution) gathers receptive fields from an
-// out-of-place volume; a block layer (pointwise, FC, GEMM) streams nz
-// reduction elements of npix pixels each. Either way kernel m's
-// outputs land in dst[m*npix:(m+1)*npix] (npix = by*bx for windows).
+// or depthwise convolution) streams a by x bx output plane; a block
+// layer (pointwise, FC, GEMM) streams npix pixels. Either way the
+// activations come from the layer's tile plane (tiles.go) and kernel
+// m's outputs land in dst[m*npix:(m+1)*npix] (npix = by*bx for
+// windows).
 type layerArgs struct {
 	window, depthwise bool
-	qa                *tensor.Volume
+	tiles             []float64
 	pr                *weightProgram
 	sp                *obs.Span
 	dst               []float64
 	kernels           int
-	// by, bx, stride, pad shape a window layer's output plane.
-	by, bx, stride, pad int
-	// nz and npix shape a block layer's reduction and pixels.
-	nz, npix int
+	// by, bx shape a window layer's output plane; nxt is its column
+	// tiles per row and tz the input channels in its tile plane.
+	by, bx, nxt, tz int
+	// npix is a block layer's pixel count.
+	npix int
 	// relu clamps the write-back; subtract makes it dst -= v (the
 	// negative pass of a signed GEMM).
 	relu, subtract bool
@@ -138,7 +139,7 @@ func (j *layerJob) join() bool {
 // drain claims group positions until none remain and runs each
 // position's owned kernels in ascending order.
 //
-//hot: per-layer fan-out worker; must not allocate.
+//hot:per-layer fan-out worker; must not allocate.
 func (j *layerJob) drain() {
 	defer j.capture()
 	for pos := int(j.next.Add(1)) - 1; pos < j.npos; pos = int(j.next.Add(1)) - 1 {

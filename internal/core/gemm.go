@@ -146,7 +146,5 @@ func (c *Chip) GEMM(a, b *tensor.Matrix, relu bool) *tensor.Matrix {
 // bits; the negative pass subtracts in the digital aggregation unit.
 func (c *Chip) gemmPass(part *tensor.Volume, pr *weightProgram, sp *obs.Span, dst []float64, shard ShardSpec, subtract bool) {
 	qa, aScale := c.prequantizeInput(part)
-	if s := aScale * pr.wScale; s != 0 {
-		c.fanOut(layerArgs{qa: qa, pr: pr, sp: sp, dst: dst, kernels: pr.m, nz: qa.Z, npix: qa.X, outScale: s, subtract: subtract, shard: shard})
-	}
+	c.runBlock(qa.Data, qa.Z, aScale, layerArgs{pr: pr, sp: sp, dst: dst, kernels: pr.m, npix: qa.X, subtract: subtract, shard: shard})
 }

@@ -63,6 +63,12 @@ func goldenMatrix() []goldenCase {
 	quiet.DisableNoise = true
 	voltage := DefaultConfig()
 	voltage.VoltageDomainWeights = true
+	// The fixed-width Nd=5 datapath kernel needs the crosstalk table;
+	// these two configurations take the generic loop instead.
+	noXtalk := DefaultConfig()
+	noXtalk.DisableCrosstalk = true
+	nd3 := DefaultConfig()
+	nd3.Nd = 3
 
 	return []goldenCase{
 		{name: "conv/s1p1relu", want: 0x5af577f95cd683af, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
@@ -73,6 +79,8 @@ func goldenMatrix() []goldenCase {
 		{name: "conv/5x5chunked", want: 0x284ace40e5917b5d, run: dense(cfg, 3, 12, 12, 2, 5, 5, 1, 2, true, 7, nil)},
 		{name: "conv/noiseless", want: 0xea33dffd9758d61b, run: dense(quiet, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
 		{name: "conv/voltage-domain", want: 0x37064b3756ff7884, run: dense(voltage, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
+		{name: "conv/no-crosstalk", want: 0x33eceb5c50df33a3, run: dense(noXtalk, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
+		{name: "conv/nd3", want: 0xd12cc3d6f2fa02b7, run: dense(nd3, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, nil)},
 		{name: "conv/faulty", want: 0xe76ecc0aef12a3de, run: dense(cfg, 6, 10, 10, 4, 3, 3, 1, 1, true, 3, func(c *Chip) {
 			mustFault(c, 0, 0, Fault{Kind: StuckMZM, Tap: 2, Value: 0.7})
 			mustFault(c, 1, 1, Fault{Kind: DeadRing, Tap: 4, Column: 1})

@@ -32,8 +32,9 @@ type PLCG struct {
 	sumBuf, curBuf []float64
 	// conv is the group-owned scratch arena the chip's layer loops
 	// (Conv, depthwise, Pointwise, FullyConnected, GEMM) stage slot
-	// weights and activations in. Group-owned so the layer fan-out's
-	// one-goroutine-per-PLCG partitioning keeps it race-free.
+	// weight and activation-tile views in. Group-owned so the layer
+	// fan-out's one-goroutine-per-PLCG partitioning keeps it
+	// race-free.
 	conv convScratch
 }
 
@@ -43,12 +44,18 @@ func NewPLCG(cfg Config) *PLCG {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid config: %v", err)) //lint:ignore exit-hygiene constructor refuses a config Validate already rejected; caller bug
 	}
+	return newPLCG(cfg, crosstalkTable(cfg))
+}
+
+// newPLCG builds a group of a validated configuration whose units
+// share the crosstalk table xt.
+func newPLCG(cfg Config, xt []float64) *PLCG {
 	units := make([]*PLCU, cfg.Nu)
 	avail := make([]int, cfg.Nu)
 	for u := range units {
 		ucfg := cfg
 		ucfg.Seed = cfg.Seed*1000003 + int64(u)
-		units[u] = NewPLCU(ucfg)
+		units[u] = newPLCU(ucfg, xt)
 		avail[u] = u
 	}
 	return &PLCG{
@@ -106,7 +113,7 @@ func (g *PLCG) Step(weights [][]float64, avals [][][]float64) []float64 {
 // it. The reduction scratch is group-owned, so StepInto is not safe
 // for concurrent use on one PLCG.
 //
-//hot: steady-state per-cycle group entry point; must not allocate.
+//hot:steady-state per-cycle group entry point; must not allocate.
 func (g *PLCG) StepInto(dst []float64, weights [][]float64, avals [][][]float64) []float64 {
 	if len(weights) > len(g.avail) || len(weights) != len(avals) {
 		panic(fmt.Sprintf("core: step wants <=%d matched channel slots, got %d/%d", //lint:ignore exit-hygiene slot-count shape invariant; caller bug
@@ -126,12 +133,13 @@ func (g *PLCG) StepInto(dst []float64, weights [][]float64, avals [][][]float64)
 }
 
 // stepPrequantized is StepInto for compiled weight-program slots and
-// pre-quantized activation rows: the quantization work is already
-// done, so healthy slots go straight to the analog datapath. Cycle
-// counts, noise draws, and ADC behaviour match Step bit for bit.
+// pre-quantized tap-major activation tiles (qa[i][t*Nd+d]): the
+// quantization work is already done, so healthy slots go straight to
+// the analog datapath. Cycle counts, noise draws, and ADC behaviour
+// match Step bit for bit.
 //
-//hot: weight-stationary group inner loop; must not allocate.
-func (g *PLCG) stepPrequantized(dst []float64, qw [][]float64, qa [][][]float64) []float64 {
+//hot:weight-stationary group inner loop; must not allocate.
+func (g *PLCG) stepPrequantized(dst []float64, qw, qa [][]float64) []float64 {
 	if len(qw) > len(g.avail) || len(qw) != len(qa) {
 		panic(fmt.Sprintf("core: step wants <=%d matched channel slots, got %d/%d", //lint:ignore exit-hygiene slot-count shape invariant; caller bug
 			len(g.avail), len(qw), len(qa)))
@@ -152,7 +160,7 @@ func (g *PLCG) stepPrequantized(dst []float64, qw [][]float64, qa [][][]float64)
 // aggregate applies the TIA + shared-ADC stage to the analog sum of
 // nslots active units and writes the value-domain result into dst.
 //
-//hot: shared aggregation tail; must not allocate.
+//hot:shared aggregation tail; must not allocate.
 func (g *PLCG) aggregate(dst, sum []float64, nslots int) []float64 {
 	unit := g.units[0].UnitCurrent()
 	// The TIA gain is programmed per layer so the ADC full scale

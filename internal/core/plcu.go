@@ -36,7 +36,8 @@ type PLCU struct {
 	// column dp on tap t's MZM bus into the ring of (t, d): the
 	// crosstalk matrix of the grid channels riding that bus, flattened
 	// so the datapath reads one contiguous row per ring. Nil when
-	// crosstalk is disabled.
+	// crosstalk is disabled. Read-only, and shared by every unit of a
+	// chip (see crosstalkTable).
 	xt []float64
 	// sigma is the RMS output-current noise of one Nm-wavelength
 	// accumulation (noise.Params.TotalSigma), constant per unit.
@@ -53,11 +54,11 @@ type PLCU struct {
 	// cycles, which progressive (drifting) faults key off.
 	cycles int64
 	// qwBuf and qaBuf are the unit's scratch arena: the quantized
-	// weight vector and activation matrix CurrentsInto reuses across
-	// cycles instead of allocating per call. qaBuf rows share one
-	// backing array.
+	// weight vector and the tap-major activation tile
+	// (qaBuf[t*Nd+d]) CurrentsInto reuses across cycles instead of
+	// allocating per call.
 	qwBuf []float64
-	qaBuf [][]float64
+	qaBuf []float64
 }
 
 // NewPLCU builds a functional PLCU for the given configuration. The
@@ -66,27 +67,34 @@ func NewPLCU(cfg Config) *PLCU {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("core: invalid config: %v", err)) //lint:ignore exit-hygiene constructor refuses a config Validate already rejected; caller bug
 	}
+	return newPLCU(cfg, crosstalkTable(cfg))
+}
+
+// crosstalkTable builds the flat table PLCU.xt describes, or nil when
+// crosstalk is disabled. It depends only on the chip geometry and k^2,
+// never on the seed, so a chip builds it once for all of its units
+// rather than repeating the crosstalk analysis per unit.
+func crosstalkTable(cfg Config) []float64 {
+	if cfg.DisableCrosstalk {
+		return nil
+	}
+	xm := circuit.NewCrosstalkAnalysis(cfg.K2, cfg.WavelengthsPerPLCU()).CrosstalkMatrix()
+	xt := make([]float64, cfg.Nm*cfg.Nd*cfg.Nd)
+	for i := range xt {
+		t, d, dp := i/(cfg.Nd*cfg.Nd), i/cfg.Nd%cfg.Nd, i%cfg.Nd
+		xt[i] = xm[cfg.gridChannel(t, d)][cfg.gridChannel(t, dp)]
+	}
+	return xt
+}
+
+// newPLCU builds a unit of a validated configuration around a shared,
+// read-only crosstalk table.
+func newPLCU(cfg Config, xt []float64) *PLCU {
 	delivered := cfg.SignalPath().Deliver(cfg.LaserPower)
 	pd := photonics.NewPhotodiode()
-
-	var xt []float64
-	if !cfg.DisableCrosstalk {
-		xm := circuit.NewCrosstalkAnalysis(cfg.K2, cfg.WavelengthsPerPLCU()).CrosstalkMatrix()
-		xt = make([]float64, cfg.Nm*cfg.Nd*cfg.Nd)
-		for i := range xt {
-			t, d, dp := i/(cfg.Nd*cfg.Nd), i/cfg.Nd%cfg.Nd, i%cfg.Nd
-			xt[i] = xm[cfg.gridChannel(t, d)][cfg.gridChannel(t, dp)]
-		}
-	}
 	unitCurrent := pd.Responsivity * delivered
 	np := noise.DefaultParams()
 	np.Bandwidth = cfg.ModulationRate()
-
-	qaData := make([]float64, cfg.Nm*cfg.Nd)
-	qaBuf := make([][]float64, cfg.Nm)
-	for t := 0; t < cfg.Nm; t++ {
-		qaBuf[t] = qaData[t*cfg.Nd : (t+1)*cfg.Nd : (t+1)*cfg.Nd]
-	}
 
 	return &PLCU{
 		cfg:         cfg,
@@ -97,7 +105,7 @@ func NewPLCU(cfg Config) *PLCU {
 		aq:          quant.NewActivation(cfg.DACBits, 1),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		qwBuf:       make([]float64, cfg.Nm),
-		qaBuf:       qaBuf,
+		qaBuf:       make([]float64, cfg.Nm*cfg.Nd),
 	}
 }
 
@@ -157,7 +165,7 @@ func (p *PLCU) Currents(weights []float64, avals [][]float64) []float64 {
 // is not safe for concurrent use on one PLCU - which mirrors the
 // hardware: a unit executes one modulation cycle at a time.
 //
-//hot: steady-state per-cycle entry point; must not allocate.
+//hot:steady-state per-cycle entry point; must not allocate.
 func (p *PLCU) CurrentsInto(dst, weights []float64, avals [][]float64) []float64 {
 	cfg := p.cfg
 	p.cycles++
@@ -177,9 +185,8 @@ func (p *PLCU) CurrentsInto(dst, weights []float64, avals [][]float64) []float64
 		if len(avals[t]) != cfg.Nd {
 			panic(fmt.Sprintf("core: tap %d wants %d activations, got %d", t, cfg.Nd, len(avals[t]))) //lint:ignore exit-hygiene per-tap activation shape invariant; caller bug
 		}
-		row := p.qaBuf[t]
 		for d, a := range avals[t] {
-			row[d] = p.aq.Quantize(a)
+			p.qaBuf[t*cfg.Nd+d] = p.aq.Quantize(a)
 		}
 	}
 	return p.accumulate(dst, p.qwBuf, p.qaBuf)
@@ -187,39 +194,55 @@ func (p *PLCU) CurrentsInto(dst, weights []float64, avals [][]float64) []float64
 
 // currentsPrequantized runs one cycle on weights and activations that
 // are already on the DAC grids: qw holds fault-effective quantized
-// weights (a compiled weight-program slot) and qa rows hold quantized
-// activations. It advances the same cycle counter and draws the same
-// noise samples as Currents, so outputs are bit-identical to the
-// quantize-on-entry path.
+// weights (a compiled weight-program slot) and qa is a tap-major tile
+// of quantized activations, qa[t*Nd+d]. It advances the same cycle
+// counter and draws the same noise samples as Currents, so outputs
+// are bit-identical to the quantize-on-entry path.
 //
-//hot: weight-stationary inner loop; must not allocate.
-func (p *PLCU) currentsPrequantized(dst []float64, qw []float64, qa [][]float64) []float64 {
+//hot:weight-stationary inner loop; must not allocate.
+func (p *PLCU) currentsPrequantized(dst, qw, qa []float64) []float64 {
 	p.cycles++
 	return p.accumulate(dst, qw, qa)
 }
 
 // accumulate is the shared analog datapath: MZM scaling, MRR routing
 // with crosstalk and ring faults, balanced detection, and noise. qw
-// and qa must already be quantized and fault-adjusted.
+// must already be quantized and fault-adjusted, and qa is a quantized
+// tap-major Nm x Nd tile. The paper's five PD columns with crosstalk
+// modeled run the fixed-width accumulate5; every other configuration
+// runs accumulateGeneric, the reference the fixed-width kernel is
+// tested against.
 //
-//hot: innermost per-column loop; must not allocate.
-func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64) []float64 {
+//hot:per-cycle datapath; must not allocate.
+func (p *PLCU) accumulate(dst, qw, qa []float64) []float64 {
+	if p.cfg.Nd == 5 && p.xt != nil {
+		return p.accumulate5(dst, qw, qa)
+	}
+	return p.accumulateGeneric(dst, qw, qa)
+}
+
+// accumulateGeneric is the datapath for any column count, one column
+// at a time.
+//
+//hot:generic per-column datapath loop; must not allocate.
+func (p *PLCU) accumulateGeneric(dst, qw, qa []float64) []float64 {
 	cfg := p.cfg
-	for d := 0; d < cfg.Nd; d++ {
+	nd := cfg.Nd
+	for d := 0; d < nd; d++ {
 		var pos, neg float64
 		for t := 0; t < cfg.Nm; t++ {
 			w := qw[t]
 			if w == 0 {
 				continue
 			}
-			mag, a := math.Abs(w), qa[t]
+			mag, a := math.Abs(w), qa[t*nd:(t+1)*nd]
 			// Intended signal: the ring for (t, d) drops its own
 			// wavelength carrying |w| * a.
 			sig := mag * a[d]
 			// Crosstalk: the same ring couples a fraction of the other
 			// columns' wavelengths riding tap t's bus.
 			if p.xt != nil {
-				row := p.xt[(t*cfg.Nd+d)*cfg.Nd : (t*cfg.Nd+d+1)*cfg.Nd]
+				row := p.xt[(t*nd+d)*nd : (t*nd+d+1)*nd]
 				for dp, x := range row {
 					if dp == d {
 						continue
@@ -243,6 +266,94 @@ func (p *PLCU) accumulate(dst []float64, qw []float64, qa [][]float64) []float64
 			i += p.rng.NormFloat64() * p.sigma
 		}
 		dst[d] = i
+	}
+	return dst
+}
+
+// accumulate5 is the datapath for Nd = 5 with the crosstalk table
+// present, written out over the five columns. It walks taps in the
+// outer loop and keeps every column's positive and negative sums in
+// registers, so each tap loads its weight, activation row and
+// crosstalk coefficients once. Each column still sees exactly the
+// generic loop's operations in the generic loop's order: taps
+// ascending with zero weights skipped, the own-wavelength product
+// first, the leakage terms (x*|w|)*a in ascending source column, then
+// the ring gain, then the tap's sum into the sign rail. Noise is drawn
+// afterwards in column order, which is the generic draw order because
+// nothing else reads the unit's stream in between. The outputs are
+// bit-identical to accumulateGeneric.
+//
+//hot:fixed-width Nd=5 datapath kernel; must not allocate.
+func (p *PLCU) accumulate5(dst, qw, qa []float64) []float64 {
+	const nd = 5
+	var p0, p1, p2, p3, p4, n0, n1, n2, n3, n4 float64
+	qw = qw[:p.cfg.Nm]
+	for t, w := range qw {
+		if w == 0 {
+			continue
+		}
+		m := math.Abs(w)
+		a := qa[t*nd : t*nd+nd : t*nd+nd]
+		x := p.xt[t*nd*nd : (t+1)*nd*nd : (t+1)*nd*nd]
+		a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
+		// x[d*nd+dp] leaks column dp's wavelength into ring (t, d).
+		s0 := m * a0
+		s0 += x[1] * m * a1
+		s0 += x[2] * m * a2
+		s0 += x[3] * m * a3
+		s0 += x[4] * m * a4
+		s1 := m * a1
+		s1 += x[5] * m * a0
+		s1 += x[7] * m * a2
+		s1 += x[8] * m * a3
+		s1 += x[9] * m * a4
+		s2 := m * a2
+		s2 += x[10] * m * a0
+		s2 += x[11] * m * a1
+		s2 += x[13] * m * a3
+		s2 += x[14] * m * a4
+		s3 := m * a3
+		s3 += x[15] * m * a0
+		s3 += x[16] * m * a1
+		s3 += x[17] * m * a2
+		s3 += x[19] * m * a4
+		s4 := m * a4
+		s4 += x[20] * m * a0
+		s4 += x[21] * m * a1
+		s4 += x[22] * m * a2
+		s4 += x[23] * m * a3
+		if p.faults != nil {
+			s0 *= p.ringGain(t, 0)
+			s1 *= p.ringGain(t, 1)
+			s2 *= p.ringGain(t, 2)
+			s3 *= p.ringGain(t, 3)
+			s4 *= p.ringGain(t, 4)
+		}
+		if w > 0 {
+			p0 += s0
+			p1 += s1
+			p2 += s2
+			p3 += s3
+			p4 += s4
+		} else {
+			n0 += s0
+			n1 += s1
+			n2 += s2
+			n3 += s3
+			n4 += s4
+		}
+	}
+	dst = dst[:nd]
+	u := p.unitCurrent
+	dst[0] = (p0 - n0) * u
+	dst[1] = (p1 - n1) * u
+	dst[2] = (p2 - n2) * u
+	dst[3] = (p3 - n3) * u
+	dst[4] = (p4 - n4) * u
+	if !p.cfg.DisableNoise {
+		for d := range dst {
+			dst[d] += p.rng.NormFloat64() * p.sigma
+		}
 	}
 	return dst
 }

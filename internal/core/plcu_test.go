@@ -284,6 +284,14 @@ func TestPLCUFlatCrosstalkTable(t *testing.T) {
 				}
 			}
 		}
+		// A chip's units share one table with exactly these bits.
+		for gi, g := range NewChip(cfg).Groups() {
+			for ui, u := range g.Units() {
+				if !sameBits(u.xt, p.xt) {
+					t.Errorf("Nd=%d: plcg%d/plcu%d table differs from a lone unit's", cfg.Nd, gi, ui)
+				}
+			}
+		}
 	}
 	if p := NewPLCU(idealConfig()); p.xt != nil {
 		t.Error("DisableCrosstalk should leave the table nil")

@@ -504,10 +504,14 @@ func TestFleetPoolScaling(t *testing.T) {
 	}
 	net := inference.TinyCNN(3, 8, 42)
 	input := tensor.RandomVolume(3, 8, 8, 9)
+	// The trial window must stay long against an OS scheduler time
+	// slice (a few ms), or one preemption by a concurrently running
+	// test binary decides the comparison; 10 inferences per submitter
+	// keep pool1's window near 15 ms on a 2-vCPU host.
 	const (
-		streams   = 4 // concurrent submitters
-		perStream = 5 // inferences per submitter per trial
-		trials    = 3 // best-of, to shed scheduler noise
+		streams   = 4  // concurrent submitters
+		perStream = 10 // inferences per submitter per trial
+		trials    = 3  // best-of, to shed scheduler noise
 	)
 	measure := func(pool int) time.Duration {
 		units := make([]fleet.Unit, pool)
